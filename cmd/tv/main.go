@@ -246,7 +246,7 @@ func main() {
 	}
 
 	fmt.Println("critical path:")
-	fmt.Print(nmostv.FormatPath(res.CriticalPath()))
+	fmt.Print(nmostv.FormatPath(res, nmostv.CriticalPath(res)))
 
 	if *nSlack > 0 {
 		req, err := res.Required(context.Background(), opt)

@@ -95,9 +95,9 @@ func main() {
 		if tol, ok := res.SkewTolerance(); ok {
 			fmt.Printf("clock skew tolerance: %.4g ns\n", tol)
 		}
-		path := res.CriticalPath()
+		path := nmostv.CriticalPath(res)
 		fmt.Printf("critical path: %d arcs, ending at %s\n",
-			len(path)-1, path[len(path)-1].Node)
+			len(path)-1, res.NL.Nodes[path[len(path)-1].Node])
 	}
 
 	fmt.Println("\nthe re-buffered rail trades a handful of devices for the quadratic")

@@ -44,13 +44,13 @@ func main() {
 	fmt.Printf("worst slack: %.4g ns over %d checks\n\n", slack, len(res.Checks))
 
 	fmt.Println("critical path (the ALU carry ripple, as on the real MIPS):")
-	path := res.CriticalPath()
+	path := nmostv.CriticalPath(res)
 	if len(path) > 14 {
-		fmt.Print(nmostv.FormatPath(path[:7]))
+		fmt.Print(nmostv.FormatPath(res, path[:7]))
 		fmt.Printf("  ... %d intermediate arcs ...\n", len(path)-14)
-		fmt.Print(nmostv.FormatPath(path[len(path)-7:]))
+		fmt.Print(nmostv.FormatPath(res, path[len(path)-7:]))
 	} else {
-		fmt.Print(nmostv.FormatPath(path))
+		fmt.Print(nmostv.FormatPath(res, path))
 	}
 
 	// Settle-time distribution across the cycle.

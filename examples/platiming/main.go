@@ -107,7 +107,7 @@ func main() {
 	if res.FallAt[worst.Index] > res.RiseAt[worst.Index] {
 		pol = nmostv.Fall
 	}
-	fmt.Print(nmostv.FormatPath(res.Path(worst, pol)))
+	fmt.Print(nmostv.FormatPath(res, nmostv.PathTo(res, worst, pol)))
 }
 
 func b2i(x bool) int {

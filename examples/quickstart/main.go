@@ -57,5 +57,5 @@ func main() {
 	}
 	fmt.Printf("\nminimum cycle time: %.4g ns (%.4g MHz)\n", T, 1000/T)
 	fmt.Println("binding path:")
-	fmt.Print(nmostv.FormatPath(resMin.CriticalPath()))
+	fmt.Print(nmostv.FormatPath(resMin, nmostv.CriticalPath(resMin)))
 }

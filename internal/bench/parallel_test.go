@@ -10,6 +10,7 @@ import (
 	"nmostv/internal/flow"
 	"nmostv/internal/gen"
 	"nmostv/internal/netlist"
+	"nmostv/internal/paths"
 	"nmostv/internal/stage"
 	"nmostv/internal/tech"
 )
@@ -87,7 +88,7 @@ func TestParallelEngineGoldenEquality(t *testing.T) {
 							workers, i, res.Checks[i], rBase.Checks[i])
 					}
 				}
-				if got, want := core.FormatPath(res.CriticalPath()), core.FormatPath(rBase.CriticalPath()); got != want {
+				if got, want := paths.FormatPath(res, paths.CriticalPath(res)), paths.FormatPath(rBase, paths.CriticalPath(rBase)); got != want {
 					t.Fatalf("workers=%d: critical path differs:\n got %s\nwant %s", workers, got, want)
 				}
 			}

@@ -10,6 +10,7 @@ import (
 	"nmostv/internal/core"
 	"nmostv/internal/gen"
 	"nmostv/internal/netlist"
+	"nmostv/internal/paths"
 	"nmostv/internal/report"
 	"nmostv/internal/tech"
 )
@@ -226,7 +227,7 @@ func RunT4() *Report {
 	}
 
 	pathText := "critical path (binding constraint at Tmin):\n" +
-		core.FormatPath(res.CriticalPath())
+		paths.FormatPath(res, paths.CriticalPath(res))
 
 	return &Report{ID: "T4", Title: "Flagship datapath verification report",
 		Sections: []string{summary.String(), perPhase.String(), pathText}}

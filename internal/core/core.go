@@ -200,7 +200,8 @@ type Result struct {
 	// ns (best case); PosInf for transitions that never occur.
 	EarlyRise, EarlyFall []float64
 
-	// Checks holds every verification result, violations first.
+	// Checks holds every verification result, violations first, then by
+	// slack, node index and polarity (paths.Critical relies on this).
 	Checks []Check
 
 	predRise, predFall []pred

@@ -326,62 +326,6 @@ func TestMinPeriodBracketsTransition(t *testing.T) {
 	}
 }
 
-func TestPathReconstruction(t *testing.T) {
-	b := gen.New("t", tech.Default())
-	in := b.Input("in")
-	out := b.Output(b.InvChain(in, 4))
-	nl, m := pipeline(b)
-	res := analyze(t, nl, m, sched())
-
-	pol := Rise
-	if res.FallAt[out.Index] > res.RiseAt[out.Index] {
-		pol = Fall
-	}
-	steps := res.Path(out, pol)
-	if len(steps) != 5 { // in + 4 inverters
-		t.Fatalf("path length = %d, want 5", len(steps))
-	}
-	if steps[0].Node != in {
-		t.Errorf("path must start at the input, got %s", steps[0].Node)
-	}
-	if steps[len(steps)-1].Node != out {
-		t.Errorf("path must end at the output, got %s", steps[len(steps)-1].Node)
-	}
-	for i := 1; i < len(steps); i++ {
-		if steps[i].Time < steps[i-1].Time {
-			t.Error("path times must be non-decreasing")
-		}
-		if steps[i].Pol == steps[i-1].Pol {
-			t.Error("inverter chain path must alternate polarity")
-		}
-	}
-	if FormatPath(steps) == "" || FormatPath(nil) != "(no path)" {
-		t.Error("FormatPath output wrong")
-	}
-}
-
-func TestStaticDesign(t *testing.T) {
-	// No inputs, no clocks: everything is static.
-	b := gen.New("t", tech.Default())
-	dangling := b.Fresh("x")
-	b.Inverter(dangling)
-	nl, m := pipeline(b)
-	res := analyze(t, nl, m, sched())
-	n, s := res.MaxSettle()
-	if n != nil || !math.IsInf(s, -1) {
-		t.Errorf("static design MaxSettle = %v @ %g, want none", n, s)
-	}
-	if res.CriticalPath() != nil {
-		t.Error("static design has no critical path")
-	}
-	if p := res.Path(dangling, Rise); p != nil {
-		t.Error("Path of a static node must be nil")
-	}
-	if _, ok := res.MinSlack(); ok {
-		t.Error("static design has no slack checks")
-	}
-}
-
 func TestInputTimeShiftsArrivals(t *testing.T) {
 	b := gen.New("t", tech.Default())
 	in := b.Input("in")
@@ -641,23 +585,6 @@ func TestSignalGatedStoragePropagates(t *testing.T) {
 	}
 	if math.IsInf(res.Settle(out), -1) {
 		t.Fatal("logic behind signal-gated storage must be timed")
-	}
-}
-
-func TestRaceCheckPathReconstructs(t *testing.T) {
-	b := gen.New("t", tech.Default())
-	phi1 := b.Clock("phi1", 1)
-	phi2 := b.Clock("phi2", 2)
-	_, q1 := b.Latch(phi1, b.Input("in"))
-	b.Latch(phi2, b.Inverter(q1))
-	nl, m := pipeline(b)
-	res := analyze(t, nl, m, sched())
-	for _, c := range res.Checks {
-		if c.Kind == CheckRace {
-			if steps := res.CheckPath(c); len(steps) == 0 {
-				t.Errorf("race check %v has no path", c)
-			}
-		}
 	}
 }
 

@@ -25,7 +25,10 @@ import (
 // a fixed source (input, clock edge, precharge seed) or never happens
 // (arrival -Inf).
 func (r *Result) DominantPred(idx int, pol Polarity) (arc int32, fromPol Polarity) {
-	p := r.predOf(idx, pol)
+	p := r.predRise[idx]
+	if pol == Fall {
+		p = r.predFall[idx]
+	}
 	return p.edge, p.fromPol
 }
 

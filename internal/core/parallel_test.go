@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 
 	"nmostv/internal/clocks"
@@ -54,8 +55,10 @@ func assertResultsIdentical(t *testing.T, workers int, base, res *Result) {
 				workers, i, res.Checks[i], base.Checks[i])
 		}
 	}
-	if got, want := FormatPath(res.CriticalPath()), FormatPath(base.CriticalPath()); got != want {
-		t.Fatalf("workers=%d: critical path differs:\n got %s\nwant %s", workers, got, want)
+	// Every reported path — the critical path included — is a walk of
+	// the dominant-predecessor record, so equal records mean equal paths.
+	if !slices.Equal(res.predRise, base.predRise) || !slices.Equal(res.predFall, base.predFall) {
+		t.Fatalf("workers=%d: dominant predecessors differ, so critical paths can", workers)
 	}
 }
 

@@ -323,19 +323,19 @@ func (s *Session) Slack(ctx context.Context, k int, corner string) ([]SlackInfo,
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if corner != "" || len(s.corners) == 0 {
-		name := ""
-		res, req, err := s.cornerRequired(ctx, corner)
+		res, rc, err := s.resolveCorner(corner, "incr.slack")
 		if err != nil {
 			return nil, err
 		}
-		if corner != "" {
-			name = corner
+		req, err := rc.get(ctx, res, s.opt.Core)
+		if err != nil {
+			return nil, err
 		}
 		ranked := res.SlackRanking(req, k)
 		out := make([]SlackInfo, len(ranked))
 		for i, e := range ranked {
 			out[i] = SlackInfo{
-				Node: e.Node.Name, Corner: name, Pol: e.Pol.String(),
+				Node: e.Node.Name, Corner: corner, Pol: e.Pol.String(),
 				Arrival: e.Arrival, Required: e.Required, Slack: e.Slack,
 			}
 		}
@@ -356,21 +356,20 @@ func (s *Session) Slack(ctx context.Context, k int, corner string) ([]SlackInfo,
 	return out, nil
 }
 
-// cornerRequired resolves a corner name ("" = base) to its published
-// result and lazily computed required times. Caller holds a lock.
-func (s *Session) cornerRequired(ctx context.Context, corner string) (*core.Result, *core.Required, error) {
-	if corner == "" {
-		req, err := s.baseReq.get(ctx, s.res, s.opt.Core)
-		return s.res, req, err
+// resolveCorner resolves a corner name ("" = base) to its published
+// result and that result's backward-pass cache; op names the calling
+// query in the NotFound error. Caller holds a lock.
+func (s *Session) resolveCorner(name, op string) (*core.Result, *requiredCache, error) {
+	if name == "" {
+		return s.res, &s.baseReq, nil
 	}
 	for _, cs := range s.corners {
-		if cs.corner.Name == corner {
-			req, err := cs.req.get(ctx, cs.res, s.opt.Core)
-			return cs.res, req, err
+		if cs.corner.Name == name {
+			return cs.res, &cs.req, nil
 		}
 	}
-	return nil, nil, tverr.Errorf(tverr.NotFound, "incr.slack",
-		"no corner %q configured (have %s)", corner, s.cornerNames())
+	return nil, nil, tverr.Errorf(tverr.NotFound, op,
+		"no corner %q configured (have %s)", name, s.cornerNames())
 }
 
 func (s *Session) cornerNames() string {
@@ -402,23 +401,13 @@ func (s *Session) mergedSweep(ctx context.Context) (*slack.Sweep, error) {
 }
 
 // CriticalAt returns the k most constrained endpoints with their paths at
-// one corner ("" = the base analysis, like Critical).
+// one corner ("" = the base analysis), worst first (see paths.Critical).
 func (s *Session) CriticalAt(corner string, k int) ([]CriticalEntry, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	res := s.res
-	if corner != "" {
-		found := false
-		for _, cs := range s.corners {
-			if cs.corner.Name == corner {
-				res, found = cs.res, true
-				break
-			}
-		}
-		if !found {
-			return nil, tverr.Errorf(tverr.NotFound, "incr.critical",
-				"no corner %q configured (have %s)", corner, s.cornerNames())
-		}
+	res, _, err := s.resolveCorner(corner, "incr.critical")
+	if err != nil {
+		return nil, err
 	}
 	return criticalEntries(res, k), nil
 }

@@ -136,7 +136,7 @@ type PathStream struct {
 func (s *Session) PathStream(corner string) (*PathStream, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	res, _, err := s.cornerResult(corner, "incr.paths")
+	res, _, err := s.resolveCorner(corner, "incr.paths")
 	if err != nil {
 		return nil, err
 	}
@@ -176,21 +176,6 @@ func (ps *PathStream) Next() (PathInfo, bool) {
 		info.Steps[i] = si
 	}
 	return info, true
-}
-
-// cornerResult resolves a corner name ("" = base) to its published
-// result and model. Caller holds a lock.
-func (s *Session) cornerResult(corner, op string) (*core.Result, *cornerState, error) {
-	if corner == "" {
-		return s.res, nil, nil
-	}
-	for _, cs := range s.corners {
-		if cs.corner.Name == corner {
-			return cs.res, cs, nil
-		}
-	}
-	return nil, nil, tverr.Errorf(tverr.NotFound, op,
-		"no corner %q configured (have %s)", corner, s.cornerNames())
 }
 
 // WhyHopInfo is one hop of a why-trace, serializable, source first.
@@ -244,7 +229,7 @@ func (s *Session) Why(ctx context.Context, node, pol, corner string) (WhyInfo, e
 			corner = s.corners[ci].corner.Name
 		}
 	}
-	res, cs, err := s.cornerResult(corner, "incr.why")
+	res, rc, err := s.resolveCorner(corner, "incr.why")
 	if err != nil {
 		return WhyInfo{}, err
 	}
@@ -275,35 +260,32 @@ func (s *Session) Why(ctx context.Context, node, pol, corner string) (WhyInfo, e
 	}
 	// The backward pass is lazily cached per published result, so the
 	// slack annotation is free after the first query per version.
-	req, err := s.whyRequired(ctx, cs)
-	if err == nil && req != nil {
+	if req, err := rc.get(ctx, res, s.opt.Core); err == nil {
 		info.Slack = finiteOrNil(req.Slack(n.Index, p))
 	}
 	for i, h := range w.Hops {
 		hi := WhyHopInfo{
 			Node: s.nl.Nodes[h.Node].Name, Pol: h.Pol.String(),
-			Delay: h.Delay, Launch: h.Launch, Wait: h.Wait,
-			Arrival: h.Arrival, Clamped: h.Clamped, Invert: h.Invert,
+			Delay: h.Delay, Launch: h.Launch,
+			Arrival: h.Arrival, Clamped: h.Clamped,
 		}
-		// Holding the read lock, the live device table is safe to chase
-		// for the gate name (Apply takes the write lock to mutate it).
-		if h.ViaID != 0 {
-			if t := s.nl.TransByID(h.ViaID); t != nil {
+		// The first hop is reported as the trace's source — no device,
+		// inversion or wait — even where a predecessor cycle cut the
+		// chain (see paths.WhyLate).
+		if i > 0 {
+			e := &res.Model.Edges[h.Arc]
+			hi.Wait = h.Launch - w.Hops[i-1].Arrival
+			hi.Invert = e.Invert
+			// Holding the read lock, the live device table is safe to
+			// chase for the gate name (Apply takes the write lock to
+			// mutate it).
+			if t := s.nl.TransByID(e.Via); t != nil {
 				hi.Via = t.Gate.Name
 			}
 		}
 		info.Hops[i] = hi
 	}
 	return info, nil
-}
-
-// whyRequired returns the cached backward pass for the chosen corner
-// (nil cornerState = base). Caller holds a lock.
-func (s *Session) whyRequired(ctx context.Context, cs *cornerState) (*core.Required, error) {
-	if cs == nil {
-		return s.baseReq.get(ctx, s.res, s.opt.Core)
-	}
-	return cs.req.get(ctx, cs.res, s.opt.Core)
 }
 
 // NodeDeltaInfo is one node whose timing moved between two versions,

@@ -271,6 +271,15 @@ func TestWhyQueryCorners(t *testing.T) {
 	if len(w.Hops) == 0 || w.Hops[len(w.Hops)-1].Arrival != w.Arrival {
 		t.Fatalf("trace does not end at its own arrival: %+v", w)
 	}
+	for h, hop := range w.Hops {
+		wait := 0.0
+		if h > 0 {
+			wait = hop.Launch - w.Hops[h-1].Arrival
+		}
+		if hop.Wait != wait {
+			t.Fatalf("hop %d: wait %v != launch-prev %v", h, hop.Wait, wait)
+		}
+	}
 	if w.Slack == nil || *w.Slack != worst.Slack {
 		t.Fatalf("why slack %v != ranking slack %v", w.Slack, worst.Slack)
 	}

@@ -14,6 +14,7 @@ import (
 	"nmostv/internal/flow"
 	"nmostv/internal/gen"
 	"nmostv/internal/netlist"
+	"nmostv/internal/paths"
 	"nmostv/internal/stage"
 	"nmostv/internal/tech"
 )
@@ -204,8 +205,8 @@ func TestResizeConeSmall(t *testing.T) {
 	// Path recovery must also match a from-scratch run: this exercises
 	// the predecessor remap across the model rebuild.
 	ref := scratchAnalyze(t, s)
-	got := core.FormatPath(s.res.CriticalPath())
-	want := core.FormatPath(ref.CriticalPath())
+	got := paths.FormatPath(s.res, paths.CriticalPath(s.res))
+	want := paths.FormatPath(ref, paths.CriticalPath(ref))
 	if got != want {
 		t.Fatalf("critical path differs after resize:\n got:\n%s\nwant:\n%s", got, want)
 	}
@@ -349,9 +350,9 @@ func TestQuerySnapshots(t *testing.T) {
 		t.Fatalf("vdd should be static: %+v", vdd)
 	}
 
-	crit := s.Critical(3)
-	if len(crit) == 0 || len(crit[0].Steps) == 0 {
-		t.Fatalf("Critical(3) = %+v", crit)
+	crit, err := s.CriticalAt("", 3)
+	if err != nil || len(crit) == 0 || len(crit[0].Steps) == 0 {
+		t.Fatalf("CriticalAt(\"\", 3) = %+v, %v", crit, err)
 	}
 	if crit[0].Check.Kind != core.CheckOutput.String() {
 		t.Fatalf("worst endpoint kind = %q", crit[0].Check.Kind)

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"nmostv/internal/core"
+	"nmostv/internal/paths"
 )
 
 // The query methods return plain serializable snapshots (names and
@@ -145,30 +146,23 @@ func (s *Session) NodeTiming(name string) (NodeTiming, bool) {
 	return nt, true
 }
 
-// Critical returns the k most constrained endpoints with their paths,
-// worst first (see core.Result.TopPaths).
-func (s *Session) Critical(k int) []CriticalEntry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return criticalEntries(s.res, k)
-}
-
-// criticalEntries converts one result's ranked paths to the serializable
-// form. Callers hold a session lock.
+// criticalEntries converts one result's check-driven ranking
+// (paths.Critical) to the serializable form. Callers hold a session lock.
 func criticalEntries(res *core.Result, k int) []CriticalEntry {
-	ranked := res.TopPaths(k)
+	ranked := paths.Critical(res, k)
 	out := make([]CriticalEntry, 0, len(ranked))
 	for _, rp := range ranked {
-		e := CriticalEntry{Check: checkInfo(rp.Check)}
-		for _, st := range rp.Steps {
-			ps := PathStep{
-				Node: st.Node.Name, Pol: st.Pol.String(),
-				Time: st.Time, Invert: st.Invert,
+		e := CriticalEntry{Check: checkInfo(rp.Check), Steps: make([]PathStep, len(rp.Steps))}
+		for i, st := range rp.Steps {
+			ps := PathStep{Node: res.NL.Nodes[st.Node].Name, Pol: st.Pol.String(), Time: st.Arrival}
+			if st.Arc >= 0 {
+				a := &res.Model.Edges[st.Arc]
+				ps.Invert = a.Invert
+				if t := res.NL.TransByID(a.Via); t != nil {
+					ps.Via = t.Gate.Name
+				}
 			}
-			if st.Via != nil {
-				ps.Via = st.Via.Gate.Name
-			}
-			e.Steps = append(e.Steps, ps)
+			e.Steps[i] = ps
 		}
 		out = append(out, e)
 	}

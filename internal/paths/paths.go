@@ -71,13 +71,16 @@ func (k Kind) String() string {
 	return "kind?"
 }
 
-// Step is one hop of a path, source first.
+// Step is one hop of a path, source first. It is the one hop type of
+// every path this package reports: generator paths, why-traces and the
+// check-driven critical ranking.
 type Step struct {
 	// Node and Pol identify the transition this hop produces.
 	Node int32
 	Pol  core.Polarity
 	// Arc is the model edge that produced the transition; -1 at the
-	// path source (input, clock edge, or precharge seed).
+	// path source (input, clock edge, or precharge seed). The arc's
+	// device (Via) and polarity inversion live in Model.Edges[Arc].
 	Arc int32
 	// Delay is the arc's delay for this polarity (ns); 0 at the source.
 	Delay float64
@@ -85,7 +88,9 @@ type Step struct {
 	// arrival, clamped forward to the arc's clock-window opening when
 	// Clamped is set.
 	Launch float64
-	// Arrival = Launch + Delay along this specific path.
+	// Arrival = Launch + Delay along this specific path. On a dominant
+	// walk it is the transition's published arrival; on a check's
+	// capture hop, the check's arrival.
 	Arrival float64
 	// Clamped reports the launch waited for a clock edge.
 	Clamped bool
@@ -192,13 +197,6 @@ func New(res *core.Result) *Generator {
 	return g
 }
 
-func (g *Generator) arrival(v int32, pol core.Polarity) float64 {
-	if pol == core.Rise {
-		return g.res.RiseAt[v]
-	}
-	return g.res.FallAt[v]
-}
-
 func (g *Generator) seedLatches() (candidates int) {
 	for i := range g.model.Edges {
 		e := &g.model.Edges[i]
@@ -265,7 +263,7 @@ func (g *Generator) seedSettles() {
 
 func (g *Generator) seedTerminal(v int32, kind Kind) (candidates int) {
 	for _, pol := range []core.Polarity{core.Rise, core.Fall} {
-		if math.IsInf(g.arrival(v, pol), -1) {
+		if math.IsInf(arrival(g.res, v, pol), -1) {
 			continue
 		}
 		candidates++
@@ -299,7 +297,7 @@ func (g *Generator) addState(end *endpoint, parent *state, arc int32, node int32
 	if g.loop[node] {
 		return
 	}
-	at := g.arrival(node, pol)
+	at := arrival(g.res, node, pol)
 	if math.IsInf(at, -1) {
 		return
 	}
@@ -478,8 +476,8 @@ func (g *Generator) Next() (Path, bool) {
 	}
 }
 
-// build replays the completed chain forward, reproducing the engine's
-// exact launch/clamp arithmetic per hop.
+// build replays the completed chain forward with the engine's exact
+// launch/clamp arithmetic per hop (transfer, shared with walk).
 func (g *Generator) build(st *state) Path {
 	var chain []*state
 	for cur := st; cur != nil; cur = cur.parent {
@@ -497,22 +495,7 @@ func (g *Generator) build(st *state) Path {
 		if i+1 < len(chain) {
 			to, toPol = chain[i+1].node, chain[i+1].pol
 		}
-		e := &g.model.Edges[cur.arc]
-		var d float64
-		var mask uint8
-		if toPol == core.Rise {
-			d, mask = e.DRise, e.MaskRise
-		} else {
-			d, mask = e.DFall, e.MaskFall
-		}
-		clamp, _, constrained, _ := core.MaskWindow(g.sched, mask)
-		if i+1 == len(chain) && end.wrapped {
-			clamp += g.sched.Period
-		}
-		launch, clamped := t, false
-		if constrained && launch < clamp {
-			launch, clamped = clamp, true
-		}
+		d, launch, clamped := transfer(g.res, cur.arc, toPol, t, i+1 == len(chain) && end.wrapped)
 		t = launch + d
 		steps = append(steps, Step{Node: to, Pol: toPol, Arc: cur.arc,
 			Delay: d, Launch: launch, Arrival: t, Clamped: clamped})

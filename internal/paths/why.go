@@ -2,46 +2,21 @@ package paths
 
 import (
 	"math"
+	"sync"
 
 	"nmostv/internal/core"
 )
 
-// WhyHop is one hop of a "why late" explanation, source first.
-type WhyHop struct {
-	// Node and Pol identify the transition.
-	Node int32
-	Pol  core.Polarity
-	// Arc is the dominant producing arc; -1 at the source hop.
-	Arc int32
-	// ViaID is the stable device ID of the arc's transistor; 0 at the
-	// source and for arcs with no device.
-	ViaID int64
-	// Delay is the arc's delay (ns); 0 at the source.
-	Delay float64
-	// Launch is when the cause took effect; Wait = Launch minus the
-	// previous hop's arrival, the time spent waiting at a clock-window
-	// opening (0 when the hop launched immediately).
-	Launch float64
-	Wait   float64
-	// Arrival is the engine's fixpoint arrival of this transition —
-	// exactly Launch + Delay, bit for bit, because the walk replays the
-	// relaxation that set it.
-	Arrival float64
-	// Clamped reports the launch waited for a clock edge.
-	Clamped bool
-	// Invert reports the arc flips polarity (restoring logic).
-	Invert bool
-}
-
 // Why explains a node's worst arrival: the chain of dominant-arrival
 // predecessors from a fixed source (input, clock edge, precharge seed)
 // to the asked transition, with per-hop delay and clock-wait
-// contributions.
+// contributions. A hop's wait at a clock-window opening is its Launch
+// minus the previous hop's Arrival.
 type Why struct {
 	Node    int32
 	Pol     core.Polarity
 	Arrival float64
-	Hops    []WhyHop
+	Hops    []Step
 }
 
 // WhyLate traces the dominant-arrival chain of (node, pol) on res.
@@ -49,72 +24,100 @@ type Why struct {
 // reads only immutable result state and reproduces the engine's exact
 // arithmetic: at every hop, Arrival == Launch + Delay and
 // Launch == max(previous Arrival, window clamp) hold bitwise, and the
-// last hop's Arrival is the node's published arrival.
+// last hop's Arrival is the node's published arrival. Through a
+// non-converged loop the chain can start where a predecessor cycle cut
+// it rather than at a source (see walk).
 func WhyLate(res *core.Result, node int32, pol core.Polarity) (Why, bool) {
-	arrivalOf := func(v int32, p core.Polarity) float64 {
-		if p == core.Rise {
-			return res.RiseAt[v]
-		}
-		return res.FallAt[v]
-	}
-	if math.IsInf(arrivalOf(node, pol), -1) {
+	hops := walk(res, node, pol, 0)
+	if hops == nil {
 		return Why{}, false
 	}
-	// Collect the chain endpoint-backward. The dominant-pred graph of a
-	// converged analysis is acyclic (every hop strictly looks at an
-	// earlier-or-equal arrival with a positive-delay arc), but a
-	// non-converged loop node could in principle point into its own
-	// cycle, so the walk carries a visited set and stops cleanly rather
-	// than spinning.
-	type link struct {
-		node int32
-		pol  core.Polarity
-		arc  int32
+	return Why{Node: node, Pol: pol, Arrival: arrival(res, node, pol), Hops: hops}, true
+}
+
+func arrival(res *core.Result, v int32, pol core.Polarity) float64 {
+	if pol == core.Rise {
+		return res.RiseAt[v]
 	}
-	var chain []link
-	seen := make(map[link]bool)
-	cur, curPol := node, pol
-	for {
-		arc, fromPol := res.DominantPred(int(cur), curPol)
-		l := link{cur, curPol, arc}
-		if seen[l] {
-			break
-		}
-		seen[l] = true
-		chain = append(chain, l)
+	return res.FallAt[v]
+}
+
+// seenPool recycles the walk's visited masks, indexed node×polarity and
+// returned cleared: queries bypass admission control, so a walk must not
+// allocate O(nodes) or O(path) scratch per request.
+var seenPool = sync.Pool{New: func() any { return new([]bool) }}
+
+// walk is the one dominant-predecessor walk: the chain into (node, pol),
+// source first, in a slice with room for extra more steps; nil when the
+// transition never happens. Every hop carries its transition's published
+// arrival, with Delay, Launch and Clamped replayed from the previous hop
+// by transfer. The dominant-pred graph of a converged analysis is
+// acyclic, but a non-converged loop node can point into its own cycle,
+// so the walk stops at the first repeated transition; the first hop of
+// such a cut chain keeps its arc but, like a source, no delay.
+//
+// The chain is walked twice — once to count it, once to fill an exactly
+// sized slice from the back — so a walk costs one allocation whatever
+// its length.
+func walk(res *core.Result, node int32, pol core.Polarity, extra int) []Step {
+	if math.IsInf(arrival(res, node, pol), -1) {
+		return nil
+	}
+	mask := seenPool.Get().(*[]bool)
+	if want := 2 * len(res.RiseAt); cap(*mask) < want {
+		*mask = make([]bool, want)
+	} else {
+		*mask = (*mask)[:want]
+	}
+	seen := *mask
+	n := 0
+	for v, p := node, pol; !seen[2*v+int32(p)]; n++ {
+		seen[2*v+int32(p)] = true
+		arc, fromPol := res.DominantPred(int(v), p)
 		if arc < 0 {
+			n++
 			break
 		}
-		cur, curPol = res.Model.Edges[arc].From, fromPol
+		v, p = res.Model.Edges[arc].From, fromPol
 	}
-	// Replay forward: chain is endpoint-first, so walk it backward.
-	w := Why{Node: node, Pol: pol, Arrival: arrivalOf(node, pol)}
-	w.Hops = make([]WhyHop, 0, len(chain))
-	last := chain[len(chain)-1]
-	t := arrivalOf(last.node, last.pol)
-	w.Hops = append(w.Hops, WhyHop{Node: last.node, Pol: last.pol, Arc: -1, Launch: t, Arrival: t})
-	for i := len(chain) - 2; i >= 0; i-- {
-		l := chain[i]
-		e := &res.Model.Edges[l.arc]
-		var d float64
-		var mask uint8
-		if l.pol == core.Rise {
-			d, mask = e.DRise, e.MaskRise
-		} else {
-			d, mask = e.DFall, e.MaskFall
+	steps := make([]Step, n, n+extra)
+	v, p := node, pol
+	for i := n - 1; i >= 0; i-- {
+		seen[2*v+int32(p)] = false
+		arc, fromPol := res.DominantPred(int(v), p)
+		steps[i] = Step{Node: v, Pol: p, Arc: arc, Arrival: arrival(res, v, p)}
+		if arc >= 0 {
+			v, p = res.Model.Edges[arc].From, fromPol
 		}
-		clamp, _, constrained, _ := core.MaskWindow(res.Sched, mask)
-		launch, clamped := t, false
-		if constrained && launch < clamp {
-			launch, clamped = clamp, true
-		}
-		arr := arrivalOf(l.node, l.pol)
-		w.Hops = append(w.Hops, WhyHop{
-			Node: l.node, Pol: l.pol, Arc: l.arc, ViaID: e.Via,
-			Delay: d, Launch: launch, Wait: launch - t,
-			Arrival: arr, Clamped: clamped, Invert: e.Invert,
-		})
-		t = arr
 	}
-	return w, true
+	seenPool.Put(mask)
+	steps[0].Launch = steps[0].Arrival
+	for i := 1; i < n; i++ {
+		s := &steps[i]
+		s.Delay, s.Launch, s.Clamped = transfer(res, s.Arc, s.Pol, steps[i-1].Arrival, false)
+	}
+	return steps
+}
+
+// transfer replays the engine's relaxation across arc into pol for a
+// cause arriving at t: the launch waits for the arc's window opening (a
+// period later for the wrapped φ1 capture), and the arrival is
+// launch + d.
+func transfer(res *core.Result, arc int32, pol core.Polarity, t float64, wrapped bool) (d, launch float64, clamped bool) {
+	e := &res.Model.Edges[arc]
+	var mask uint8
+	if pol == core.Rise {
+		d, mask = e.DRise, e.MaskRise
+	} else {
+		d, mask = e.DFall, e.MaskFall
+	}
+	clamp, _, constrained, _ := core.MaskWindow(res.Sched, mask)
+	if wrapped {
+		clamp += res.Sched.Period
+	}
+	launch = t
+	if constrained && launch < clamp {
+		launch, clamped = clamp, true
+	}
+	return d, launch, clamped
 }

@@ -70,6 +70,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -831,6 +832,21 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
+// queryInt parses the optional integer query parameter name: def when it
+// is absent; a 400 written and ok=false when it is malformed or below floor.
+func queryInt(w http.ResponseWriter, q url.Values, name string, def, floor int) (n int, ok bool) {
+	v := q.Get(name)
+	if v == "" {
+		return def, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < floor {
+		writeErr(w, http.StatusBadRequest, "bad %s %q", name, v)
+		return 0, false
+	}
+	return n, true
+}
+
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
@@ -930,13 +946,9 @@ func (s *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	k := 5
-	if kq := r.URL.Query().Get("k"); kq != "" {
-		k, err = strconv.Atoi(kq)
-		if err != nil || k <= 0 {
-			writeErr(w, http.StatusBadRequest, "bad k %q", kq)
-			return
-		}
+	k, ok := queryInt(w, r.URL.Query(), "k", 5, 1)
+	if !ok {
+		return
 	}
 	entries, err := sess.CriticalAt(r.URL.Query().Get("corner"), k)
 	if err != nil {
@@ -961,13 +973,9 @@ func (s *Server) handlePaths(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	k := 10
-	if kq := r.URL.Query().Get("k"); kq != "" {
-		k, err = strconv.Atoi(kq)
-		if err != nil || k <= 0 {
-			writeErr(w, http.StatusBadRequest, "bad k %q", kq)
-			return
-		}
+	k, ok := queryInt(w, r.URL.Query(), "k", 10, 1)
+	if !ok {
+		return
 	}
 	stream, err := sess.PathStream(r.URL.Query().Get("corner"))
 	if err != nil {
@@ -1025,16 +1033,13 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	q := r.URL.Query()
-	var from, to int64
-	for name, dst := range map[string]*int64{"from": &from, "to": &to} {
-		if v := q.Get(name); v != "" {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || n <= 0 {
-				writeErr(w, http.StatusBadRequest, "bad %s %q", name, v)
-				return
-			}
-			*dst = n
-		}
+	from, ok := queryInt(w, q, "from", 0, 1)
+	if !ok {
+		return
+	}
+	to, ok := queryInt(w, q, "to", 0, 1)
+	if !ok {
+		return
 	}
 	eps := 0.0
 	if e := q.Get("eps"); e != "" {
@@ -1044,23 +1049,15 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	k := 10
-	if kq := q.Get("k"); kq != "" {
-		k, err = strconv.Atoi(kq)
-		if err != nil || k < 0 {
-			writeErr(w, http.StatusBadRequest, "bad k %q", kq)
-			return
-		}
+	k, ok := queryInt(w, q, "k", 10, 0)
+	if !ok {
+		return
 	}
-	limit := 100
-	if lq := q.Get("limit"); lq != "" {
-		limit, err = strconv.Atoi(lq)
-		if err != nil || limit < 0 {
-			writeErr(w, http.StatusBadRequest, "bad limit %q", lq)
-			return
-		}
+	limit, ok := queryInt(w, q, "limit", 100, 0)
+	if !ok {
+		return
 	}
-	info, err := sess.Diff(r.Context(), from, to, eps, k, limit)
+	info, err := sess.Diff(r.Context(), int64(from), int64(to), eps, k, limit)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -1085,13 +1082,9 @@ func (s *Server) handleSlack(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	k := 10
-	if kq := r.URL.Query().Get("k"); kq != "" {
-		k, err = strconv.Atoi(kq)
-		if err != nil || k <= 0 {
-			writeErr(w, http.StatusBadRequest, "bad k %q", kq)
-			return
-		}
+	k, ok := queryInt(w, r.URL.Query(), "k", 10, 1)
+	if !ok {
+		return
 	}
 	rows, err := sess.Slack(r.Context(), k, r.URL.Query().Get("corner"))
 	if err != nil {

@@ -11,7 +11,7 @@
 //
 //	d, err := nmostv.LoadSimFile("chip.sim", nmostv.DefaultParams())
 //	res, err := d.Analyze(nmostv.TwoPhase(100, 0.8), nmostv.AnalyzeOptions{})
-//	fmt.Println(nmostv.FormatPath(res.CriticalPath()))
+//	fmt.Println(nmostv.FormatPath(res, nmostv.CriticalPath(res)))
 //
 // The heavy lifting lives in the internal packages (netlist, stage, flow,
 // rc, delay, clocks, core, sim, gen); this package is the stable facade
@@ -31,6 +31,7 @@ import (
 	"nmostv/internal/flow"
 	"nmostv/internal/netlist"
 	"nmostv/internal/obs"
+	"nmostv/internal/paths"
 	"nmostv/internal/simfile"
 	"nmostv/internal/slack"
 	"nmostv/internal/stage"
@@ -54,7 +55,7 @@ type (
 	// Check is one verification finding.
 	Check = core.Check
 	// Step is one hop of a reported path.
-	Step = core.Step
+	Step = paths.Step
 	// AnalyzeOptions tunes the analysis.
 	AnalyzeOptions = core.Options
 	// FlowSummary reports the pass-transistor orientation statistics.
@@ -94,8 +95,20 @@ func TwoPhase(period, activeFrac float64) Schedule {
 	return clocks.TwoPhase(period, activeFrac)
 }
 
-// FormatPath renders a critical path listing.
-func FormatPath(steps []Step) string { return core.FormatPath(steps) }
+// CriticalPath returns the path to res's most constrained endpoint: the
+// worst latch or output check's, or the latest-settling node's when the
+// design has no deadline checks. Nil for a fully static design.
+func CriticalPath(res *Result) []Step { return paths.CriticalPath(res) }
+
+// PathTo returns the worst path producing n's pol transition, source
+// first; nil when the transition never happens.
+func PathTo(res *Result, n *Node, pol Polarity) []Step {
+	w, _ := paths.WhyLate(res, int32(n.Index), pol)
+	return w.Hops
+}
+
+// FormatPath renders a path of res as a listing with per-arc increments.
+func FormatPath(res *Result, steps []Step) string { return paths.FormatPath(res, steps) }
 
 // ParseCorners parses a comma-separated corner spec — builtin names
 // (slow, typ, fast) or name:rscale:cscale triples.

@@ -35,7 +35,7 @@ func TestInverterChainPipeline(t *testing.T) {
 	if !(s > one) {
 		t.Fatalf("6-stage settle %v not greater than 1-stage settle %v", s, one)
 	}
-	path := res.CriticalPath()
+	path := nmostv.CriticalPath(res)
 	if len(path) < 3 {
 		t.Fatalf("critical path too short: %v", path)
 	}
@@ -102,7 +102,7 @@ func TestMIPSDatapathAnalyzes(t *testing.T) {
 	if n == nil || math.IsInf(s, -1) {
 		t.Fatal("no settling activity in datapath")
 	}
-	if len(res.CriticalPath()) < 2 {
+	if len(nmostv.CriticalPath(res)) < 2 {
 		t.Fatal("no critical path at generous period")
 	}
 
@@ -112,10 +112,10 @@ func TestMIPSDatapathAnalyzes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MinPeriod: %v", err)
 	}
-	path := resMin.CriticalPath()
+	path := nmostv.CriticalPath(resMin)
 	if len(path) < 6 {
 		t.Fatalf("datapath critical path at min period suspiciously short: %d steps\n%s",
-			len(path), nmostv.FormatPath(path))
+			len(path), nmostv.FormatPath(resMin, path))
 	}
 }
 
