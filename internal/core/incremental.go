@@ -19,8 +19,11 @@ type DeltaStats struct {
 	// CompsRelaxed and NodesRelaxed count the components and nodes whose
 	// arrivals were re-relaxed in either pass (settle or early).
 	CompsRelaxed, NodesRelaxed int
-	// ReusedWave reports whether the previous propagation plan was kept
-	// (the timing-arc model did not change).
+	// ReusedWave reports whether the previous propagation plan was kept:
+	// the model holds the same arcs at the same indices as the previous
+	// one (the same model, or one that shares its arc token, see
+	// delay.Model.SameArcs), or a supplied Options.Plan fits it. Delays
+	// may have changed.
 	ReusedWave bool
 	// Relaxed marks, per node index, the nodes re-relaxed in either pass.
 	// When the call ran with Options.Arena, the mask is arena-backed:
@@ -81,7 +84,9 @@ func AnalyzeIncremental(ctx context.Context, nl *netlist.Netlist, model *delay.M
 	stats := DeltaStats{}
 
 	sp := opt.Obs.Span("wave-plan")
-	if model == prev.Model && n == len(prev.wave.compOf) {
+	if (model == prev.Model || model.SameArcs(prev.Model)) && n == len(prev.wave.compOf) {
+		// Same arcs at the same indices: the plan holds, and the copied
+		// predecessor records already index the new model.
 		r.wave = prev.wave
 		stats.ReusedWave = true
 	} else if opt.Plan.fits(n, len(model.Edges)) {

@@ -50,8 +50,8 @@ func TestBuildWithCacheAbortKeepsEntries(t *testing.T) {
 	if _, _, err := BuildWithCache(context.Background(), nl, st, p, Options{Workers: 1}, c); err != nil {
 		t.Fatal(err)
 	}
-	warm := len(c.entries)
-	if warm == 0 {
+	warm := c.last
+	if warm.model == nil || len(warm.shards) == 0 {
 		t.Fatal("cache not primed by successful build")
 	}
 
@@ -65,8 +65,8 @@ func TestBuildWithCacheAbortKeepsEntries(t *testing.T) {
 	if !errors.Is(err, faultpoint.ErrInjected) || m != nil {
 		t.Fatalf("aborted BuildWithCache = (%v, %v), want injected fault", m, err)
 	}
-	if len(c.entries) != warm {
-		t.Fatalf("abort refreshed the cache: %d entries, want %d", len(c.entries), warm)
+	if c.last.model != warm.model || &c.last.fps[0] != &warm.fps[0] {
+		t.Fatal("abort refreshed the cache")
 	}
 	faultpoint.Reset()
 

@@ -17,7 +17,8 @@ package delay
 // base, not copied — they are build-time snapshots both models read only.
 // Infinite (impossible-transition) delays stay infinite under the
 // positive scale, so the derived model fires exactly the arcs the base
-// fires. A unit scaling returns the base model itself.
+// fires, and it shares the base's arc token (SameArcs). A unit scaling
+// returns the base model itself.
 func ScaleModel(base *Model, rScale, cScale float64) *Model {
 	if rScale == 1 && cScale == 1 {
 		return base
@@ -29,6 +30,7 @@ func ScaleModel(base *Model, rScale, cScale float64) *Model {
 		NodeFlags: base.NodeFlags,
 		NodePhase: base.NodePhase,
 		Truncated: base.Truncated,
+		arcs:      base.arcs,
 	}
 	copy(m.Edges, base.Edges)
 	for i := range m.Edges {

@@ -189,6 +189,63 @@ type Model struct {
 	// Truncated counts nodes whose GND-path enumeration hit MaxPaths and
 	// used the conservative fallback.
 	Truncated int
+
+	// arcs is the arc-identity token: models sharing it have the same
+	// arc identities (edgeKey) at every edge index. Each merge mints a
+	// fresh one; PatchWithCache and ScaleModel pass it on.
+	arcs *arcIndex
+}
+
+// arcIndex locates arcs by identity in a merged model. The merge orders
+// edges by From, so node v's out-arcs are one contiguous bucket, sorted
+// by (To, Invert) within.
+type arcIndex struct {
+	// end[v] is one past node v's last out-arc; the bucket starts at
+	// end[v-1] (0 for v == 0).
+	end []int32
+}
+
+// find returns the index in edges (the model the index was built for) of
+// the one arc with e's identity, or -1 if there is none or more than one.
+func (x *arcIndex) find(edges []Edge, e *Edge) int {
+	lo := 0
+	if e.From > 0 {
+		lo = int(x.end[e.From-1])
+	}
+	bucket := edges[lo:x.end[e.From]]
+	i, _ := slices.BinarySearchFunc(bucket, *e, byToInvert)
+	at := -1
+	for ; i < len(bucket) && byToInvert(bucket[i], *e) == 0; i++ {
+		if bucket[i].key() == e.key() {
+			if at >= 0 {
+				return -1
+			}
+			at = lo + i
+		}
+	}
+	return at
+}
+
+// SameArcs reports whether m and o hold the same arcs — endpoints,
+// polarity, gate-arc kind and phase masks — at every edge index, so a
+// propagation plan or predecessor record made for one is valid for the
+// other. Only delays and node caps may differ.
+func (m *Model) SameArcs(o *Model) bool {
+	return o != nil && m.arcs != nil && m.arcs == o.arcs
+}
+
+// sameNodes reports whether m (which may be nil) and o carry bitwise-equal
+// node state: caps, flags and clock phases.
+func (m *Model) sameNodes(o *Model) bool {
+	if m == nil || len(m.Caps) != len(o.Caps) {
+		return false
+	}
+	for i, c := range m.Caps {
+		if math.Float64bits(c) != math.Float64bits(o.Caps[i]) {
+			return false
+		}
+	}
+	return slices.Equal(m.NodeFlags, o.NodeFlags) && slices.Equal(m.NodePhase, o.NodePhase)
 }
 
 // IsClock reports whether node index i was annotated as a clock when the
@@ -371,22 +428,27 @@ func mergeShards(m *Model, shards []shard) {
 	for i := 0; i < nn; i++ {
 		hi := start[i]
 		if hi-lo > 1 {
-			slices.SortStableFunc(edges[lo:hi], func(a, c Edge) int {
-				if a.To != c.To {
-					return int(a.To) - int(c.To)
-				}
-				if a.Invert != c.Invert {
-					if a.Invert {
-						return 1
-					}
-					return -1
-				}
-				return 0
-			})
+			slices.SortStableFunc(edges[lo:hi], byToInvert)
 		}
 		lo = hi
 	}
 	m.Edges = edges
+	m.arcs = &arcIndex{end: start[:nn]}
+}
+
+// byToInvert orders the arcs of one source node: by To, then non-inverting
+// before inverting.
+func byToInvert(a, c Edge) int {
+	if a.To != c.To {
+		return int(a.To) - int(c.To)
+	}
+	if a.Invert != c.Invert {
+		if a.Invert {
+			return 1
+		}
+		return -1
+	}
+	return 0
 }
 
 // Build computes the timing edges for the netlist. The netlist must be
@@ -431,10 +493,16 @@ func BuildCtx(ctx context.Context, nl *netlist.Netlist, st *stage.Result, p tech
 	return m, nil
 }
 
+// edgeKey is an arc's identity: the per-stage merge keys arcs by it, and
+// every arc's To node belongs to the one stage that built it.
 type edgeKey struct {
 	from, to           int32
 	invert, gateArc    bool
 	maskRise, maskFall uint8
+}
+
+func (e *Edge) key() edgeKey {
+	return edgeKey{e.From, e.To, e.Invert, e.GateArc, e.MaskRise, e.MaskFall}
 }
 
 // builder computes edges one stage at a time. Each worker owns one
@@ -645,7 +713,7 @@ func (b *builder) addEdge(e Edge) {
 	if math.IsInf(e.DRise, 1) && math.IsInf(e.DFall, 1) {
 		return // an arc that can cause nothing
 	}
-	k := edgeKey{e.From, e.To, e.Invert, e.GateArc, e.MaskRise, e.MaskFall}
+	k := e.key()
 	if i, ok := b.merged[k]; ok {
 		old := &b.edges[i]
 		old.DRise = mergeDelay(old.DRise, e.DRise)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nmostv/internal/core"
+	"nmostv/internal/delay"
 	"nmostv/internal/faultpoint"
 	"nmostv/internal/gen"
 	"nmostv/internal/tech"
@@ -98,6 +99,39 @@ func TestCornerCacheHitMiss(t *testing.T) {
 	for _, ci := range s.Corners() {
 		if ci.CacheHits != 1 || ci.CacheMisses != 2 {
 			t.Fatalf("corner %s after resize: hits=%d misses=%d, want 1/2", ci.Name, ci.CacheHits, ci.CacheMisses)
+		}
+	}
+	if err := s.SelfCheck(ctx); err != nil {
+		t.Fatalf("SelfCheck: %v", err)
+	}
+}
+
+// TestCornerResizeKeepsPlan: a resize patches the base model in place,
+// and every corner model derived from it shares the arc token, so each
+// corner's new result runs on the previous plan with its predecessor
+// records taken over unmapped. The extended SelfCheck still holds.
+func TestCornerResizeKeepsPlan(t *testing.T) {
+	ctx := context.Background()
+	s := newCornerSession(t, 1)
+	prevModels := make([]*delay.Model, len(s.corners))
+	prevPlans := make([]core.Plan, len(s.corners))
+	for i, cs := range s.corners {
+		prevModels[i], prevPlans[i] = cs.model, *cs.res.Plan()
+	}
+	t0 := s.nl.Trans[len(s.nl.Trans)/2]
+	st, err := s.Apply(ctx, []Delta{{Op: "resize", ID: t0.ID, W: t0.W * 2}})
+	if err != nil {
+		t.Fatalf("resize: %v", err)
+	}
+	if st.StagesRebuilt == 0 || !st.ReusedWave {
+		t.Fatalf("resize rebuilt %d stages, reused_wave=%v; want a patched rebuild", st.StagesRebuilt, st.ReusedWave)
+	}
+	for i, cs := range s.corners {
+		if cs.model == prevModels[i] || !cs.model.SameArcs(prevModels[i]) {
+			t.Fatalf("corner %s: model not re-derived with the previous arcs", cs.corner.Name)
+		}
+		if *cs.res.Plan() != prevPlans[i] {
+			t.Fatalf("corner %s: result does not keep the previous plan", cs.corner.Name)
 		}
 	}
 	if err := s.SelfCheck(ctx); err != nil {

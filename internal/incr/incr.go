@@ -82,8 +82,9 @@ type Stats struct {
 	NodesRelaxed int `json:"nodes_relaxed"`
 	// Nodes is the node count after the batch.
 	Nodes int `json:"nodes"`
-	// ReusedWave reports that the timing-arc model was unchanged and the
-	// propagation plan was reused outright.
+	// ReusedWave reports that the propagation plan was reused outright:
+	// the batch left the same arcs at the same indices (resize and setcap
+	// batches patch delays in place), not necessarily the same model.
 	ReusedWave bool `json:"reused_wave,omitempty"`
 	// Version is the session's publish sequence number: it increments on
 	// every committed (re-)analysis and names this result for Diff.
@@ -302,6 +303,9 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 	rsp := o.Span("delta-resolve")
 	var acts []func() func()
 	var addedIDs *[]int64
+	// edit collects what a resize/setcap batch touches, for the delay
+	// cache's patch path; structural and annotate batches rebuild.
+	var edit delay.Edit
 	structural := false
 	// Flow orientation reads topology, flags, and ForceFlow — never W, L,
 	// or Cap — so batches of pure resize/setcap deltas keep it valid.
@@ -329,6 +333,7 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 			if !(w > 0) || !(l > 0) || math.IsInf(w, 1) || math.IsInf(l, 1) {
 				return fail("bad size w=%v l=%v", w, l)
 			}
+			edit.Resized = append(edit.Resized, t)
 			acts = append(acts, func() func() {
 				ow, ol := t.W, t.L
 				t.W, t.L = w, l
@@ -344,6 +349,7 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 				return fail("bad cap %v pF", c)
 			}
 			seedIdx[n.Index] = true
+			edit.Recapped = append(edit.Recapped, n)
 			acts = append(acts, func() func() {
 				oc := n.Cap
 				n.Cap = c
@@ -488,15 +494,21 @@ func (s *Session) Apply(ctx context.Context, deltas []Delta) (Stats, error) {
 		s.opt.Obs.Counter("incr_rollbacks_total",
 			"delta batches rolled back after an aborted re-analysis").Inc()
 	}
-	model, bstats, err := delay.BuildWithCache(ctx, s.nl, s.stages, s.opt.Params, s.delayOpt(o), s.cache)
+	// Either build returns the published model itself when nothing the
+	// arc builder reads changed.
+	var (
+		model  *delay.Model
+		bstats delay.BuildStats
+		err    error
+	)
+	if structural || needsFlow {
+		model, bstats, err = delay.BuildWithCache(ctx, s.nl, s.stages, s.opt.Params, s.delayOpt(o), s.cache)
+	} else {
+		model, bstats, err = delay.PatchWithCache(ctx, s.nl, s.stages, s.opt.Params, s.delayOpt(o), s.cache, edit)
+	}
 	if err != nil {
 		rollback()
 		return Stats{}, err
-	}
-	if len(bstats.Rebuilt) == 0 && capsEqual(model.Caps, s.model.Caps) {
-		// Nothing the arc builder reads changed: keep the old model so
-		// the analyzer reuses its propagation plan by pointer identity.
-		model = s.model
 	}
 	seed := make([]bool, len(s.nl.Nodes))
 	for i := range seedIdx {
@@ -589,18 +601,6 @@ func (s *Session) publish(st Stats, bstats delay.BuildStats) {
 	o.Gauge("incr_comps_relaxed", "components re-relaxed by the last batch", lbl).Set(float64(st.CompsRelaxed))
 	o.Histogram("incr_apply_seconds", "wall time of delta batches and full runs", nil, lbl).
 		Observe(st.Elapsed.Seconds())
-}
-
-func capsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // SelfCheck re-derives the whole pipeline from scratch — fresh partition,

@@ -71,40 +71,84 @@ func checkRestored(t *testing.T, s *Session, snap netlistSnapshot) {
 	}
 }
 
-// TestApplyAbortRollsBack: an injected failure between mutation and
-// publish rolls the netlist back; the previously published result still
-// passes the bit-identical SelfCheck, and the session keeps working.
-func TestApplyAbortRollsBack(t *testing.T) {
-	defer faultpoint.Reset()
-	ctx := context.Background()
-	b := gen.New("chain", tech.Default())
-	b.Output(b.InvChain(b.Input("in"), 24))
-	s := newTestSession(t, "chain", b.Finish(), 1)
-	resBefore := s.Result()
-	snap := captureNetlist(s)
-	batch := structuralBatch(s)
-
-	faultpoint.Arm("incr.apply.analyze", faultpoint.Action{Err: faultpoint.ErrInjected})
-	if _, err := s.Apply(ctx, batch); !errors.Is(err, faultpoint.ErrInjected) {
-		t.Fatalf("Apply = %v, want injected fault", err)
+// resizeBatch is a resize-only batch: it takes the delay cache's patch
+// path, which edits the graph snapshot in place and keeps the arc token.
+func resizeBatch(s *Session) []Delta {
+	t0 := s.nl.Trans[0]
+	tMid := s.nl.Trans[len(s.nl.Trans)/2]
+	return []Delta{
+		{Op: "resize", ID: t0.ID, W: t0.W * 2},
+		{Op: "resize", ID: tMid.ID, L: tMid.L * 1.5},
 	}
-	faultpoint.Reset()
+}
 
-	if s.Result() != resBefore {
-		t.Fatal("aborted Apply republished a result")
-	}
-	checkRestored(t, s, snap)
-	if err := s.SelfCheck(ctx); err != nil {
-		t.Fatalf("SelfCheck after rollback: %v", err)
-	}
+// rollbackInputs are the batches every rollback test runs: one with
+// every op (full rebuild, new plan) and one resize-only (patch path).
+var rollbackInputs = []struct {
+	name  string
+	batch func(*Session) []Delta
+	patch bool
+}{
+	{"structural", structuralBatch, false},
+	{"resize", resizeBatch, true},
+}
 
-	// The same batch must succeed once the fault clears, and the session
-	// must stay bit-identical to a from-scratch analysis.
-	if _, err := s.Apply(ctx, batch); err != nil {
+// retryAfterRollback re-applies the batch once the fault has cleared: it
+// must rebuild the edited stages again — a cache left holding the aborted
+// build's shards would report none and starve the seed set — and a
+// resize-only batch must keep the plan. The session must then still be
+// bit-identical to a from-scratch analysis.
+func retryAfterRollback(t *testing.T, s *Session, batch []Delta, patch bool) {
+	t.Helper()
+	st, err := s.Apply(context.Background(), batch)
+	if err != nil {
 		t.Fatalf("Apply after rollback: %v", err)
 	}
-	if err := s.SelfCheck(ctx); err != nil {
+	if st.StagesRebuilt == 0 {
+		t.Fatal("retried batch rebuilt no stage: the cache kept the aborted build")
+	}
+	if patch && !st.ReusedWave {
+		t.Fatal("retried resize batch did not keep the propagation plan")
+	}
+	if err := s.SelfCheck(context.Background()); err != nil {
 		t.Fatalf("SelfCheck after recovered Apply: %v", err)
+	}
+}
+
+// TestApplyAbortRollsBack: an injected failure between mutation and
+// publish rolls the netlist back; the previously published result still
+// passes the bit-identical SelfCheck, and the session keeps working. The
+// fault fires either inside the delay build (the cache is never
+// refreshed) or after it (the cache must be rewound).
+func TestApplyAbortRollsBack(t *testing.T) {
+	for _, in := range rollbackInputs {
+		for _, fp := range []string{"delay.build.shard", "incr.apply.analyze"} {
+			t.Run(in.name+"/"+fp, func(t *testing.T) {
+				defer faultpoint.Reset()
+				ctx := context.Background()
+				b := gen.New("chain", tech.Default())
+				b.Output(b.InvChain(b.Input("in"), 24))
+				s := newTestSession(t, "chain", b.Finish(), 1)
+				resBefore := s.Result()
+				snap := captureNetlist(s)
+				batch := in.batch(s)
+
+				faultpoint.Arm(fp, faultpoint.Action{Err: faultpoint.ErrInjected})
+				if _, err := s.Apply(ctx, batch); !errors.Is(err, faultpoint.ErrInjected) {
+					t.Fatalf("Apply = %v, want injected fault", err)
+				}
+				faultpoint.Reset()
+
+				if s.Result() != resBefore {
+					t.Fatal("aborted Apply republished a result")
+				}
+				checkRestored(t, s, snap)
+				if err := s.SelfCheck(ctx); err != nil {
+					t.Fatalf("SelfCheck after rollback: %v", err)
+				}
+				retryAfterRollback(t, s, batch, in.patch)
+			})
+		}
 	}
 }
 
@@ -112,23 +156,29 @@ func TestApplyAbortRollsBack(t *testing.T) {
 // from the request context during the wavefront walk rather than an
 // injected error.
 func TestApplyCancellationRollsBack(t *testing.T) {
-	defer faultpoint.Reset()
-	b := gen.New("chain", tech.Default())
-	b.Output(b.InvChain(b.Input("in"), 48))
-	s := newTestSession(t, "chain", b.Finish(), 1)
-	snap := captureNetlist(s)
+	for _, in := range rollbackInputs {
+		t.Run(in.name, func(t *testing.T) {
+			defer faultpoint.Reset()
+			b := gen.New("chain", tech.Default())
+			b.Output(b.InvChain(b.Input("in"), 48))
+			s := newTestSession(t, "chain", b.Finish(), 1)
+			snap := captureNetlist(s)
+			batch := in.batch(s)
 
-	faultpoint.Arm("core.propagate.level", faultpoint.Action{Delay: 2 * time.Millisecond})
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
-	_, err := s.Apply(ctx, structuralBatch(s))
-	cancel()
-	faultpoint.Reset()
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Apply = %v, want DeadlineExceeded", err)
-	}
-	checkRestored(t, s, snap)
-	if err := s.SelfCheck(context.Background()); err != nil {
-		t.Fatalf("SelfCheck after canceled Apply: %v", err)
+			faultpoint.Arm("core.propagate.level", faultpoint.Action{Delay: 2 * time.Millisecond})
+			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
+			_, err := s.Apply(ctx, batch)
+			cancel()
+			faultpoint.Reset()
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("Apply = %v, want DeadlineExceeded", err)
+			}
+			checkRestored(t, s, snap)
+			if err := s.SelfCheck(context.Background()); err != nil {
+				t.Fatalf("SelfCheck after canceled Apply: %v", err)
+			}
+			retryAfterRollback(t, s, batch, in.patch)
+		})
 	}
 }
 
@@ -136,27 +186,33 @@ func TestApplyCancellationRollsBack(t *testing.T) {
 // the batch before propagating (the daemon's recovery middleware turns it
 // into a 500; the session must stay coherent afterwards).
 func TestApplyPanicRollsBack(t *testing.T) {
-	defer faultpoint.Reset()
-	ctx := context.Background()
-	b := gen.New("chain", tech.Default())
-	b.Output(b.InvChain(b.Input("in"), 24))
-	s := newTestSession(t, "chain", b.Finish(), 1)
-	snap := captureNetlist(s)
+	for _, in := range rollbackInputs {
+		t.Run(in.name, func(t *testing.T) {
+			defer faultpoint.Reset()
+			ctx := context.Background()
+			b := gen.New("chain", tech.Default())
+			b.Output(b.InvChain(b.Input("in"), 24))
+			s := newTestSession(t, "chain", b.Finish(), 1)
+			snap := captureNetlist(s)
+			batch := in.batch(s)
 
-	faultpoint.Arm("incr.apply.analyze", faultpoint.Action{Panic: true})
-	func() {
-		defer func() {
-			if rec := recover(); rec == nil {
-				t.Fatal("Apply did not propagate the panic")
+			faultpoint.Arm("incr.apply.analyze", faultpoint.Action{Panic: true})
+			func() {
+				defer func() {
+					if rec := recover(); rec == nil {
+						t.Fatal("Apply did not propagate the panic")
+					}
+				}()
+				s.Apply(ctx, batch)
+			}()
+			faultpoint.Reset()
+
+			checkRestored(t, s, snap)
+			if err := s.SelfCheck(ctx); err != nil {
+				t.Fatalf("SelfCheck after panic rollback: %v", err)
 			}
-		}()
-		s.Apply(ctx, structuralBatch(s))
-	}()
-	faultpoint.Reset()
-
-	checkRestored(t, s, snap)
-	if err := s.SelfCheck(ctx); err != nil {
-		t.Fatalf("SelfCheck after panic rollback: %v", err)
+			retryAfterRollback(t, s, batch, in.patch)
+		})
 	}
 }
 
